@@ -2,8 +2,12 @@
 # Offline CI gate for the dyno workspace.
 #
 #   1. tier-1 verify:  cargo build --release (warnings are errors)
-#      && cargo test -q
-#   2. full workspace test suite
+#      && cargo test -q; then every workspace target (libraries, the
+#      repro binary, tests, benches and examples) builds with warnings
+#      as errors too
+#   2. full workspace test suite, plus the perfbench crate's own tests
+#      (it builds against the workspace crates by path, so this catches
+#      API removals that would break the benchmark)
 #   3. repro smoke check: Table 1 (PILR relative times) must agree with
 #      the committed repro_output.txt within TOLERANCE points, and the
 #      Figure 2 plan evolution must still re-optimize and beat RELOPT.
@@ -73,9 +77,11 @@ TOLERANCE=${TOLERANCE:-5.0} # max abs deviation, percentage points
 echo "== tier-1: cargo build --release && cargo test -q =="
 RUSTFLAGS="-D warnings" cargo build --release --offline
 cargo test -q --offline
+RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 
 echo "== workspace tests =="
 cargo test -q --workspace --offline
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== repro smoke check (Table 1 + Figure 2 vs repro_output.txt) =="
 fresh=$(mktemp) ref_t1=$(mktemp) new_t1=$(mktemp)

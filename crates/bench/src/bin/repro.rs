@@ -31,10 +31,11 @@ use std::process::ExitCode;
 
 use dyno_bench::cli::{parse_cli, parse_sf, positional, USAGE};
 use dyno_bench::{
-    ablations, fig2, fig3, fig4, fig5, fig6, fig7, fig8, profile_report, reopt_ab, run_serve,
-    run_concurrent_workload, run_workload, run_workload_reuse, table1, timeline_report,
-    trace_report, BenchError, ExpScale,
+    ablations, fig2, fig3, fig4, fig5, fig6, fig7, fig8, profile_report, render_concurrent,
+    render_timeline, reopt_ab, run_serve, run_workload, table1, trace_report, ArrivalSource,
+    BenchError, ExpScale,
 };
+use dyno_cluster::ClusterConfig;
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -71,7 +72,9 @@ fn run(args: &[String]) -> Result<(), BenchError> {
         "timeline" => {
             let spec = positional(&cli, 1, "<query|spec>")?;
             let sf = parse_sf(&cli, 2)?;
-            print!("{}", timeline_report(spec, sf, cli.seed, scale, cli.workload_opts)?);
+            let report =
+                run_serve(spec, sf, cli.seed, scale, ArrivalSource::Stream, cli.serve_opts)?;
+            print!("{}", render_timeline(&report));
             return Ok(());
         }
         "workload" => {
@@ -79,19 +82,20 @@ fn run(args: &[String]) -> Result<(), BenchError> {
             let sf = parse_sf(&cli, 2)?;
             if cli.concurrent {
                 let report =
-                    run_concurrent_workload(spec, sf, cli.seed, scale, cli.workload_opts)?;
-                print!("{}", report.render());
-            } else if cli.reuse {
-                print!("{}", run_workload_reuse(spec, sf, cli.seed, scale)?.render());
+                    run_serve(spec, sf, cli.seed, scale, ArrivalSource::Stream, cli.serve_opts)?;
+                print!("{}", render_concurrent(&report));
             } else {
-                print!("{}", run_workload(spec, sf, cli.seed, scale)?.render());
+                let report =
+                    run_workload(spec, sf, cli.seed, scale, ClusterConfig::paper(), cli.reuse)?;
+                print!("{}", report.render());
             }
             return Ok(());
         }
         "serve" => {
             let spec = positional(&cli, 1, "<spec>")?;
             let sf = parse_sf(&cli, 2)?;
-            let report = run_serve(spec, sf, cli.seed, scale, cli.serve_opts)?;
+            let report =
+                run_serve(spec, sf, cli.seed, scale, ArrivalSource::Tenants, cli.serve_opts)?;
             print!("{}", report.render());
             // With --incidents, each frozen report also lands on disk
             // (already validated inside run_serve) as a text rendering

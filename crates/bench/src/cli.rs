@@ -12,7 +12,6 @@ use dyno_cluster::SchedulerPolicy;
 
 use crate::error::BenchError;
 use crate::serve::ServeOptions;
-use crate::workload::ConcurrentOptions;
 
 /// The `repro` usage text (also printed on `--help`).
 pub const USAGE: &str = "usage: repro [all|table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|ablations|reopt_ab] [--divisor N]
@@ -76,11 +75,11 @@ pub struct Cli {
     pub seed: u64,
     /// `--concurrent` (workload: shared-cluster runner).
     pub concurrent: bool,
-    /// `--reuse` (workload: memo + plan-cache reuse).
+    /// `--reuse` (serial workload runner: memo + plan-cache reuse).
     pub reuse: bool,
-    /// Concurrent-runner knobs (`--arrival-mean`, `--sched`).
-    pub workload_opts: ConcurrentOptions,
-    /// Service-harness knobs (`--tenants`, `--slo-mult`, …).
+    /// Population-runner knobs (`--arrival-mean`, `--sched`,
+    /// `--tenants`, `--slo-mult`, …) for `serve`, `timeline` and
+    /// `workload --concurrent`.
     pub serve_opts: ServeOptions,
 }
 
@@ -92,7 +91,6 @@ pub fn parse_cli(args: &[String]) -> Result<Option<Cli>, BenchError> {
     let mut seed = 0u64;
     let mut concurrent = false;
     let mut reuse = false;
-    let mut workload_opts = ConcurrentOptions::default();
     let mut serve_opts = ServeOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -118,19 +116,16 @@ pub fn parse_cli(args: &[String]) -> Result<Option<Cli>, BenchError> {
                     "a non-negative number of seconds",
                     |m| m >= 0.0,
                 )?;
-                workload_opts.arrival_mean = mean;
                 serve_opts.arrival_mean = mean;
             }
             "--sched" => {
                 // ONE typed parser for every harness (workload,
                 // timeline, serve): dyno-cluster owns the spellings.
                 let raw = it.next().map(String::as_str).unwrap_or("");
-                let sched = SchedulerPolicy::parse(raw).ok_or_else(|| BenchError::BadArg {
+                serve_opts.sched = SchedulerPolicy::parse(raw).ok_or_else(|| BenchError::BadArg {
                     arg: "--sched".to_owned(),
                     expected: "fifo, fair, priority, edf, deadline, or deadline_edf".to_owned(),
                 })?;
-                workload_opts.sched = sched;
-                serve_opts.sched = sched;
             }
             "--nodes" => {
                 let n = parse_flag_u64(it.next(), "--nodes", "a positive node count")?;
@@ -234,13 +229,18 @@ pub fn parse_cli(args: &[String]) -> Result<Option<Cli>, BenchError> {
             other => positional.push(other.to_owned()),
         }
     }
+    // Only the serial workload runner has a plan cache to reuse.
+    if reuse && (concurrent || positional.first().map(String::as_str) != Some("workload")) {
+        return Err(BenchError::Usage(
+            "--reuse applies only to the serial `repro workload` runner".to_owned(),
+        ));
+    }
     Ok(Some(Cli {
         positional,
         divisor,
         seed,
         concurrent,
         reuse,
-        workload_opts,
         serve_opts,
     }))
 }
@@ -347,7 +347,6 @@ mod tests {
         assert_eq!(cli.serve_opts.sample_one_in, 10);
         assert!(cli.serve_opts.incidents);
         assert_eq!(cli.serve_opts.incident_top, 5);
-        assert_eq!(cli.workload_opts.arrival_mean, 12.5, "shared flag");
         assert_eq!(positional(&cli, 1, "<spec>").unwrap(), "q2x3");
         assert_eq!(parse_sf(&cli, 2).unwrap(), 100);
     }
@@ -370,6 +369,10 @@ mod tests {
             &["serve", "q2", "1", "--incident"],
             &["--concurrency"],
             &["-x"],
+            &["workload", "q2", "1", "--reuse", "--concurrent"],
+            &["timeline", "q2", "1", "--reuse"],
+            &["serve", "q2", "1", "--reuse"],
+            &["--reuse"],
         ];
         for args in usage {
             match parse(args) {
@@ -425,7 +428,7 @@ mod tests {
 
     /// Satellite: the union of `--sched` spellings the workload and
     /// serve flags historically accepted all resolve through the ONE
-    /// shared [`SchedulerPolicy::parse`], into both option structs.
+    /// shared [`SchedulerPolicy::parse`].
     #[test]
     fn sched_spellings_parse_uniformly_for_all_harnesses() {
         let table: &[(&str, SchedulerPolicy)] = &[
@@ -440,8 +443,7 @@ mod tests {
             let cli = parse(&["workload", "q2", "1", "--sched", spelling])
                 .unwrap()
                 .unwrap();
-            assert_eq!(cli.workload_opts.sched, want, "workload --sched {spelling}");
-            assert_eq!(cli.serve_opts.sched, want, "serve --sched {spelling}");
+            assert_eq!(cli.serve_opts.sched, want, "--sched {spelling}");
         }
     }
 

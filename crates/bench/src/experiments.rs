@@ -4,7 +4,6 @@ use dyno_cluster::ClusterConfig;
 use dyno_core::{AdaptiveReopt, Dyno, DynoOptions, Mode, PilotConfig, PilrMode, Strategy};
 use dyno_exec::Executor;
 use dyno_query::JoinBlock;
-use dyno_service::{QueryService, QueryStatus, ServiceConfig, SubmitOpts};
 use dyno_storage::SimScale;
 use dyno_tpch::queries::{self, PreparedQuery, QueryId};
 use dyno_tpch::{catalog_for, TpchGenerator};
@@ -329,24 +328,11 @@ pub fn reopt_ab(scale: ExpScale) -> String {
     let mut rows = Vec::new();
     for q in queries {
         let prepared = bench_query(q);
-        // Through the front door: each policy variant runs its query via
-        // a QueryService ticket (obs stays disabled, so the service adds
-        // no spans), not by driving the cluster directly.
         let run_policy = |set: &dyn Fn(&mut Dyno)| {
             let mut d = make_dyno(100, scale, paper_cluster(), Strategy::Unc(1));
             set(&mut d);
-            let mut svc = QueryService::new(d, ServiceConfig::default());
-            let ticket = svc
-                .submit(0, q, SubmitOpts { mode: Mode::Dynopt, ..SubmitOpts::default() })
-                .expect("default quota never rejects");
-            svc.drain();
-            match svc.poll(ticket) {
-                Some(QueryStatus::Done(o)) => o.report,
-                Some(QueryStatus::Failed(e)) => {
-                    panic!("{} reopt_ab run failed: {e}", prepared.spec.name)
-                }
-                other => panic!("{} ticket not settled: {other:?}", prepared.spec.name),
-            }
+            d.run(&prepared, Mode::Dynopt)
+                .unwrap_or_else(|e| panic!("{} reopt_ab run failed: {e}", prepared.spec.name))
         };
         let always = run_policy(&|_| {});
         let stat = run_policy(&|d| d.opts.reopt_threshold = Some(0.5));

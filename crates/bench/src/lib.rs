@@ -26,10 +26,7 @@ pub use experiments::{
     ablations, fig2, fig3, fig4, fig5, fig6, fig7, fig8, reopt_ab, table1, ExpScale,
 };
 pub use profile::{profile_report, trace_report};
-pub use serve::{run_serve, ServeOptions, ServeReport};
+pub use serve::{run_serve, ArrivalSource, ServeOptions, ServeReport};
 pub use render::render_table;
-pub use timeline::{render_timeline, timeline_report};
-pub use workload::{
-    parse_spec, run_concurrent_workload, run_concurrent_workload_on, run_workload,
-    run_workload_on, run_workload_reuse, ConcurrentOptions, ConcurrentReport, WorkloadReport,
-};
+pub use timeline::render_timeline;
+pub use workload::{parse_spec, render_concurrent, run_workload, WorkloadReport};

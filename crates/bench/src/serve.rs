@@ -1,45 +1,62 @@
-//! `repro serve <spec> <sf> --tenants N --seed S` — the population-scale
-//! service harness.
+//! The population runner behind `repro serve`, `repro workload
+//! --concurrent` and `repro timeline`.
 //!
-//! Stands up a [`QueryService`] front door over one shared cluster and
-//! replays a seeded bursty/diurnal arrival stream from a tenant
-//! population against it: the workload spec (`name[@mode][xN]`) expands
-//! and shuffles exactly like `repro workload`, each instance arrives at
-//! a [`generate_arrivals`] offset owned by a skew-drawn tenant, and
-//! every submission carries a deadline of `slo_mult ×` its calibrated
-//! solo latency — so `--sched edf` has real deadlines to schedule on and
-//! the report can score SLO attainment.
+//! [`run_serve`] stands up one [`QueryService`] front door over one
+//! shared cluster and replays a seeded arrival stream against it: the
+//! workload spec (`name[@mode][xN]`) expands and shuffles exactly like
+//! `repro workload`, and an [`ArrivalSource`] decides when each instance
+//! arrives, for which tenant, and with what deadline. `serve` draws a
+//! bursty/diurnal tenant population in which every submission carries a
+//! deadline of `slo_mult ×` its calibrated solo latency, so `--sched edf`
+//! has real deadlines to schedule on and the report can score SLO
+//! attainment.
 //!
-//! The report folds the service's outcomes into the tail-latency columns
-//! (p50/p95/p99/p999 over the shared decade-bucket [`Histogram`]),
-//! SLO-attainment %, admission accounting (admitted / queued-at-admission
-//! / rejected), and per-tenant fairness (Jain's index over per-tenant
-//! mean latency, plus the worst tenant's p99). Everything is a pure
-//! function of `(spec, sf, seed, opts)`: reports and the exported Chrome
-//! trace are byte-identical across runs — `ci.sh` diffs the final
-//! `slo attainment:` line against `repro_output.txt`.
+//! The one [`ServeReport`] has three views. [`ServeReport::render`] folds
+//! the outcomes into the tail-latency columns (p50/p95/p99/p999 over the
+//! shared decade-bucket [`Histogram`]), SLO-attainment %, admission
+//! accounting (admitted / queued-at-admission / rejected), and per-tenant
+//! fairness (Jain's index over per-tenant mean latency, plus the worst
+//! tenant's p99). [`crate::workload::render_concurrent`] and
+//! [`crate::timeline::render_timeline`] are the other two. Everything is
+//! a pure function of `(spec, sf, seed, source, opts)`: reports and the
+//! exported Chrome trace are byte-identical across runs — `ci.sh` diffs
+//! the final `slo attainment:` line against `repro_output.txt`.
 
 use std::collections::BTreeMap;
 
 use dyno_cluster::{ClusterConfig, SchedulerPolicy};
-use dyno_common::{Rng, SeedableRng, StdRng};
 use dyno_core::{Mode, Strategy};
 use dyno_obs::{
-    validate_chrome_trace, validate_incident_json, Histogram, Obs, RecorderPolicy,
-    SamplingPolicy, SloPolicy,
+    validate_chrome_trace, validate_incident_json, Histogram, Obs, RecorderPolicy, SamplingPolicy,
+    SloPolicy, SpanId,
 };
 use dyno_service::{
-    generate_arrivals, ArrivalSpec, HealthDigest, QueryService, QueryStatus, ServiceConfig,
-    SubmitOpts, TenantId, TenantQuota,
+    exponential_offsets, generate_arrivals, ArrivalSpec, HealthDigest, QueryService, QueryStatus,
+    ServiceConfig, SubmitOpts, TenantId, TenantQuota,
 };
 use dyno_tpch::queries::{self, QueryId};
 
 use crate::error::BenchError;
 use crate::experiments::{make_dyno, ExpScale};
 use crate::render::pct;
-use crate::workload::parse_spec;
+use crate::workload::shuffled_stream;
 
-/// Knobs for the service harness.
+/// Where a population's arrivals come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArrivalSource {
+    /// One client's stream (`workload --concurrent`, `timeline`): seeded
+    /// exponential gaps of mean `arrival_mean`, continuing the shuffle's
+    /// generator, every query on tenant 0, with no deadlines and no
+    /// admission quota.
+    Stream,
+    /// A tenant population (`serve`): [`generate_arrivals`] offsets and
+    /// skew-drawn tenants, each submission carrying a deadline of
+    /// `slo_mult ×` its calibrated solo latency, under the per-tenant
+    /// quota.
+    Tenants,
+}
+
+/// Knobs for the population runner.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Tenant population size (arrivals draw from it with skew 2.0).
@@ -129,7 +146,27 @@ pub struct TenantRow {
     pub slot_secs: f64,
 }
 
-/// The folded result of one service run.
+/// One completed query of a population run.
+#[derive(Debug, Clone)]
+pub struct QueryRow {
+    /// Display label, e.g. `Q7 (DYNOPT)`.
+    pub label: String,
+    /// Simulated arrival time.
+    pub arrival_secs: f64,
+    /// Arrival-to-answer latency (includes every wait).
+    pub latency_secs: f64,
+    /// Summed queue delay of this query's jobs: time each job's first
+    /// task waited behind *other* jobs for a free slot.
+    pub queue_delay_secs: f64,
+    /// Summed per-task slot wait across this query's jobs.
+    pub slot_wait_secs: f64,
+    /// Jobs the query submitted.
+    pub jobs: usize,
+    /// The query's root span in `ServeReport::obs`'s tracer.
+    pub query_span: SpanId,
+}
+
+/// The folded result of one population run.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Scale factor.
@@ -167,6 +204,12 @@ pub struct ServeReport {
     /// Per-tenant rows for the busiest tenants (by completions), capped
     /// for rendering.
     pub top_tenants: Vec<TenantRow>,
+    /// One row per completed query, in submission order.
+    pub queries: Vec<QueryRow>,
+    /// The run's observability handles: metrics, the span log the
+    /// critical paths are built from, and the shared cluster's telemetry
+    /// timeline.
+    pub obs: Obs,
     /// The whole run as ONE validated Chrome trace: a pid lane per query,
     /// a `service` lane for admission events, and the cluster telemetry
     /// counters.
@@ -256,35 +299,51 @@ fn calibrate(
     Ok(base)
 }
 
-/// Run the service harness: expand + shuffle the spec, generate the
-/// arrival stream, replay it through a [`QueryService`], and fold the
+/// Run a population: expand + shuffle the spec, draw the arrivals from
+/// `source`, replay them through a [`QueryService`], and fold the
 /// outcomes.
 pub fn run_serve(
     spec: &str,
     sf: u64,
     seed: u64,
     scale: ExpScale,
+    source: ArrivalSource,
     opts: ServeOptions,
 ) -> Result<ServeReport, BenchError> {
-    let entries = parse_spec(spec)?;
-    let mut stream: Vec<(QueryId, Mode)> = entries
-        .iter()
-        .flat_map(|e| std::iter::repeat((e.query, e.mode)).take(e.repeat as usize))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    rng.shuffle(&mut stream);
+    let (stream, mut rng) = shuffled_stream(spec, seed)?;
 
-    let base = calibrate(&stream, sf, scale)?;
-    let arrivals = generate_arrivals(
-        &ArrivalSpec {
-            count: stream.len(),
-            tenants: opts.tenants,
-            mean_gap_secs: opts.arrival_mean,
-            tenant_skew: opts.tenant_skew,
-            ..ArrivalSpec::default()
-        },
-        seed,
-    );
+    // `(tenant, arrival time, deadline)` per stream entry.
+    let (arrivals, quota): (Vec<(TenantId, f64, Option<f64>)>, TenantQuota) = match source {
+        ArrivalSource::Stream => (
+            exponential_offsets(&mut rng, stream.len(), opts.arrival_mean)
+                .into_iter()
+                .map(|at| (0, at, None))
+                .collect(),
+            TenantQuota::default(),
+        ),
+        ArrivalSource::Tenants => {
+            let base = calibrate(&stream, sf, scale)?;
+            let spec = ArrivalSpec {
+                count: stream.len(),
+                tenants: opts.tenants,
+                mean_gap_secs: opts.arrival_mean,
+                tenant_skew: opts.tenant_skew,
+                ..ArrivalSpec::default()
+            };
+            let arrivals = generate_arrivals(&spec, seed)
+                .iter()
+                .zip(&stream)
+                .map(|(a, &(q, mode))| {
+                    (a.tenant, a.at, Some(a.at + opts.slo_mult * base[&(q, mode.name())]))
+                })
+                .collect();
+            let quota = TenantQuota {
+                max_in_flight: opts.max_in_flight,
+                slot_secs: opts.quota_slot_secs,
+            };
+            (arrivals, quota)
+        }
+    };
 
     let mut dyno = make_dyno(
         sf,
@@ -300,10 +359,7 @@ pub fn run_serve(
     let mut service = QueryService::new(
         dyno,
         ServiceConfig {
-            quota: TenantQuota {
-                max_in_flight: opts.max_in_flight,
-                slot_secs: opts.quota_slot_secs,
-            },
+            quota,
             // `--incidents` implies the SLO monitor (alert fires are
             // what trigger freezes) but not the `--health` digests; the
             // monitor is observe-only either way.
@@ -317,7 +373,6 @@ pub fn run_serve(
                 top_k: opts.incident_top.max(1),
                 ..RecorderPolicy::default()
             }),
-            ..ServiceConfig::default()
         },
     );
 
@@ -339,23 +394,14 @@ pub fn run_serve(
     let step_digests = opts.health && opts.health_interval > 0.0;
 
     let mut tickets = Vec::with_capacity(stream.len());
-    for (&(q, mode), arrival) in stream.iter().zip(arrivals.iter()) {
+    for (&(q, mode), &(tenant, at, deadline)) in stream.iter().zip(&arrivals) {
         if step_digests {
-            advance_with_digests(&mut service, arrival.at, &mut digests, &mut next_digest);
+            advance_with_digests(&mut service, at, &mut digests, &mut next_digest);
         } else {
-            service.advance_until(arrival.at);
+            service.advance_until(at);
         }
-        let solo = base[&(q, mode.name())];
-        let ticket = service.submit(
-            arrival.tenant,
-            q,
-            SubmitOpts {
-                mode,
-                deadline: Some(arrival.at + opts.slo_mult * solo),
-                priority: 0,
-            },
-        );
-        tickets.push((arrival.tenant, ticket.ok()));
+        let ticket = service.submit(tenant, q, SubmitOpts { mode, deadline, priority: 0 });
+        tickets.push((tenant, at, ticket.ok()));
     }
     if step_digests {
         while !service.idle() {
@@ -373,7 +419,8 @@ pub fn run_serve(
     let mut slo_total = 0u64;
     let mut completed = 0u64;
     let mut per_tenant: BTreeMap<TenantId, TenantRow> = BTreeMap::new();
-    for &(tenant, ticket) in &tickets {
+    let mut queries = Vec::with_capacity(tickets.len());
+    for &(tenant, arrival_secs, ticket) in &tickets {
         let Some(ticket) = ticket else { continue };
         let status = service.poll(ticket).expect("submitted tickets exist");
         let outcome = match status {
@@ -405,6 +452,15 @@ pub fn run_serve(
         row.mean_latency_secs += outcome.latency_secs; // sum; divided below
         row.hist.observe(outcome.latency_secs);
         row.slot_secs += outcome.slot_secs;
+        queries.push(QueryRow {
+            label: outcome.label,
+            arrival_secs,
+            latency_secs: outcome.latency_secs,
+            queue_delay_secs: outcome.queue_delay_secs,
+            slot_wait_secs: outcome.slot_wait_secs,
+            jobs: outcome.jobs,
+            query_span: outcome.query_span,
+        });
     }
     for row in per_tenant.values_mut() {
         row.mean_latency_secs /= row.completed as f64;
@@ -521,6 +577,8 @@ pub fn run_serve(
         worst_tenant_p99,
         worst_tenant,
         top_tenants,
+        queries,
+        obs: obs.clone(),
         trace_json,
         trace_processes: kept_lanes + 1,
         trace_counters: summary.counters,
@@ -687,7 +745,7 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyno_common::prop;
+    use dyno_common::{prop, Rng};
 
     fn coarse() -> ExpScale {
         ExpScale { divisor: 200_000 }
@@ -704,7 +762,8 @@ mod tests {
 
     #[test]
     fn serve_completes_scores_slo_and_validates_trace() {
-        let r = run_serve("q2x6,q10x4", 1, 7, coarse(), small_opts()).unwrap();
+        let r = run_serve("q2x6,q10x4", 1, 7, coarse(), ArrivalSource::Tenants, small_opts())
+            .unwrap();
         assert_eq!(r.submissions, 10);
         assert_eq!(r.completed, 10, "nothing rejected without a quota");
         assert_eq!(r.rejected, 0);
@@ -736,6 +795,7 @@ mod tests {
             1,
             3,
             coarse(),
+            ArrivalSource::Tenants,
             ServeOptions {
                 tenants: 1,
                 arrival_mean: 1.0,
@@ -755,6 +815,7 @@ mod tests {
             1,
             3,
             coarse(),
+            ArrivalSource::Tenants,
             ServeOptions {
                 tenants: 1,
                 arrival_mean: 0.0,
@@ -780,12 +841,15 @@ mod tests {
     /// stream render deterministically.
     #[test]
     fn health_run_matches_plain_outcomes_and_renders_digests() {
-        let plain = run_serve("q2x6,q10x4", 1, 7, coarse(), small_opts()).unwrap();
+        let plain =
+            run_serve("q2x6,q10x4", 1, 7, coarse(), ArrivalSource::Tenants, small_opts())
+                .unwrap();
         let health = run_serve(
             "q2x6,q10x4",
             1,
             7,
             coarse(),
+            ArrivalSource::Tenants,
             ServeOptions {
                 health: true,
                 health_interval: 120.0,
@@ -828,6 +892,7 @@ mod tests {
                         1,
                         seed,
                         coarse(),
+                        ArrivalSource::Tenants,
                         ServeOptions {
                             health: true,
                             health_interval: 120.0,
@@ -868,13 +933,14 @@ mod tests {
                     slo_mult: 1.2, // a mix of met and missed deadlines
                     ..small_opts()
                 };
-                let full = run_serve("q2x6,q10x4", 1, seed, coarse(), opts)
+                let full = run_serve("q2x6,q10x4", 1, seed, coarse(), ArrivalSource::Tenants, opts)
                     .map_err(|e| e.to_string())?;
                 let sampled = run_serve(
                     "q2x6,q10x4",
                     1,
                     seed,
                     coarse(),
+                    ArrivalSource::Tenants,
                     ServeOptions {
                         sample_one_in: 1 << 40, // baseline keeps nothing
                         ..opts
@@ -924,6 +990,7 @@ mod tests {
                 1,
                 11,
                 coarse(),
+                ArrivalSource::Tenants,
                 ServeOptions {
                     health: true,
                     health_interval: 120.0,
@@ -983,7 +1050,7 @@ mod tests {
             incidents: true,
             ..small_opts()
         };
-        let r = run_serve("q2x4,q10x2", 1, 11, coarse(), opts).unwrap();
+        let r = run_serve("q2x4,q10x2", 1, 11, coarse(), ArrivalSource::Tenants, opts).unwrap();
         assert!(r.health.is_none(), "no --health, no digest block");
         assert!(r.incidents.is_some(), "the recorder still ran");
         let plain = run_serve(
@@ -991,6 +1058,7 @@ mod tests {
             1,
             11,
             coarse(),
+            ArrivalSource::Tenants,
             ServeOptions {
                 slo_mult: 1.0,
                 ..small_opts()
@@ -1024,6 +1092,7 @@ mod tests {
                         1,
                         seed,
                         coarse(),
+                        ArrivalSource::Tenants,
                         ServeOptions {
                             sched,
                             ..small_opts()

@@ -1,9 +1,10 @@
 //! `repro timeline <query|spec> <sf>` — cluster telemetry report.
 //!
-//! Runs the stream on ONE shared simulated cluster (the concurrent
-//! runner, so a single query and a multi-query spec both exercise the
-//! same sampled timeline) and folds the recorded [`Timeline`] series
-//! into a utilization report: peak/average map and reduce slot
+//! Runs the stream on ONE shared simulated cluster (the population
+//! runner with an [`ArrivalSource::Stream`](crate::serve::ArrivalSource),
+//! so a single query and a multi-query spec both exercise the same
+//! sampled timeline) and folds the recorded [`Timeline`](dyno_obs::Timeline)
+//! series into a utilization report: peak/average map and reduce slot
 //! occupancy, time spent with every map slot busy, the queue-depth
 //! trajectory, a 60-bucket map-utilization sparkline, and peak resident
 //! memory. The final `peak map utilization:` line is machine-parseable —
@@ -14,32 +15,19 @@
 //! across identical `(spec, sf, seed, arrival-mean, sched)` runs
 //! (property-tested below).
 
-use dyno_obs::{Histogram, Sample};
+use dyno_obs::Sample;
 
-use crate::error::BenchError;
-use crate::experiments::ExpScale;
 use crate::render::pct;
-use crate::workload::{run_concurrent_workload, ConcurrentOptions, ConcurrentReport};
+use crate::serve::ServeReport;
 
 /// Width of the utilization sparkline, in buckets.
 const SPARK_WIDTH: usize = 60;
 
-/// Run `spec` on the shared cluster and render the telemetry report.
-pub fn timeline_report(
-    spec: &str,
-    sf: u64,
-    seed: u64,
-    scale: ExpScale,
-    opts: ConcurrentOptions,
-) -> Result<String, BenchError> {
-    let report = run_concurrent_workload(spec, sf, seed, scale, opts)?;
-    Ok(render_timeline(&report))
-}
-
-/// Fold a concurrent run's sampled timeline into the utilization report.
-pub fn render_timeline(report: &ConcurrentReport) -> String {
-    let st = report.timeline.stats();
-    let samples = report.timeline.samples();
+/// Fold a population run's sampled timeline into the utilization report.
+pub fn render_timeline(report: &ServeReport) -> String {
+    let timeline = &report.obs.timeline;
+    let st = timeline.stats();
+    let samples = timeline.samples();
     let secs = |x: f64| format!("{x:.1}s");
     let window = st.end - st.start;
     let of_window = |x: f64| if window > 0.0 { pct(x / window) } else { pct(0.0) };
@@ -47,7 +35,7 @@ pub fn render_timeline(report: &ConcurrentReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "== timeline: {} queries, SF={}, seed={}, sched={}, arrival-mean={}s ==\n",
-        report.runs.len(),
+        report.queries.len(),
         report.sf,
         report.seed,
         report.opts.sched.name(),
@@ -100,14 +88,10 @@ pub fn render_timeline(report: &ConcurrentReport) -> String {
             secs(window / SPARK_WIDTH as f64),
         ));
     }
-    let mut lat = Histogram::default();
-    for r in &report.runs {
-        lat.observe(r.latency_secs);
-    }
     out.push_str(&format!(
         "latency (n={}): {}\n",
-        lat.count,
-        lat.percentile_cols(&[0.50, 0.95, 0.99, 0.999], 0, "  "),
+        report.latency.count,
+        report.latency.percentile_cols(&[0.50, 0.95, 0.99, 0.999], 0, "  "),
     ));
     out.push_str(&format!(
         "peak resident memory: {} bytes\n",
@@ -163,23 +147,22 @@ fn sparkline(samples: &[Sample], map_cap: u32) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyno_cluster::SchedulerPolicy;
+    use crate::experiments::ExpScale;
+    use crate::serve::{run_serve, ArrivalSource, ServeOptions};
+    use crate::BenchError;
     use dyno_common::{prop, Rng};
 
-    fn coarse() -> ExpScale {
-        ExpScale { divisor: 200_000 }
-    }
-
-    fn opts() -> ConcurrentOptions {
-        ConcurrentOptions {
+    fn run(spec: &str, seed: u64) -> Result<ServeReport, BenchError> {
+        let opts = ServeOptions {
             arrival_mean: 5.0,
-            sched: SchedulerPolicy::Fifo,
-        }
+            ..ServeOptions::default()
+        };
+        run_serve(spec, 1, seed, ExpScale { divisor: 200_000 }, ArrivalSource::Stream, opts)
     }
 
     #[test]
     fn timeline_report_renders_utilization_and_trajectory() {
-        let out = timeline_report("q2,q10", 1, 7, coarse(), opts()).unwrap();
+        let out = render_timeline(&run("q2,q10", 7).unwrap());
         assert!(out.starts_with("== timeline: 2 queries, SF=1, seed=7, sched=fifo"), "{out}");
         assert!(out.contains("map slots:    peak "), "{out}");
         assert!(out.contains("at-full "), "{out}");
@@ -195,7 +178,7 @@ mod tests {
 
     #[test]
     fn single_query_is_a_valid_spec() {
-        let out = timeline_report("q10", 1, 0, coarse(), opts()).unwrap();
+        let out = render_timeline(&run("q10", 0).unwrap());
         assert!(out.starts_with("== timeline: 1 queries"), "{out}");
         assert!(out.contains("peak map utilization: "), "{out}");
     }
@@ -229,19 +212,15 @@ mod tests {
             3,
             |g| g.gen_range(0..1000u64),
             |&seed| {
-                let run = || {
-                    run_concurrent_workload("q2,q10", 1, seed, coarse(), opts())
-                        .map_err(|e| e.to_string())
-                };
-                let a = run()?;
-                let b = run()?;
-                if a.timeline.render() != b.timeline.render() {
+                let a = run("q2,q10", seed).map_err(|e| e.to_string())?;
+                let b = run("q2,q10", seed).map_err(|e| e.to_string())?;
+                if a.obs.timeline.render() != b.obs.timeline.render() {
                     return Err("same seed produced different timelines".to_owned());
                 }
                 if render_timeline(&a) != render_timeline(&b) {
                     return Err("same seed produced different reports".to_owned());
                 }
-                let samples = a.timeline.samples();
+                let samples = a.obs.timeline.samples();
                 if samples.is_empty() {
                     return Err("shared cluster recorded no samples".to_owned());
                 }

@@ -26,21 +26,22 @@
 //!   in any single run);
 //! * per-OOM memory attributions: for every broadcast-OOM recovery,
 //!   which query, which job, which build side, and bytes over budget.
+//!
+//! With `--concurrent` the same stream instead runs as a population on
+//! ONE shared cluster through [`crate::serve::run_serve`], and
+//! [`render_concurrent`] renders that run's report.
 
-use dyno_cluster::{ClusterConfig, SchedulerPolicy};
+use dyno_cluster::ClusterConfig;
 use dyno_common::{Rng, SeedableRng, StdRng};
 use dyno_core::{Mode, Strategy};
-use dyno_obs::{
-    descends_from, validate_chrome_trace, CriticalPath, Histogram, Obs, OomRecovery, SpanKind,
-    Timeline,
-};
-use dyno_service::{QueryService, QueryStatus, ServiceConfig, SubmitOpts};
+use dyno_obs::{descends_from, CriticalPath, Histogram, Obs, OomRecovery, SpanKind};
 use dyno_tpch::queries::{self, QueryId};
 
 use crate::error::BenchError;
 use crate::experiments::{make_dyno, ExpScale};
 use crate::profile::parse_query;
 use crate::render::pct;
+use crate::serve::ServeReport;
 
 /// One parsed spec entry: a query, the mode to run it under, and how many
 /// instances of it enter the stream.
@@ -218,42 +219,29 @@ pub struct WorkloadReport {
     pub trace_json: String,
 }
 
-/// Run the workload described by `spec` at scale factor `sf`, shuffling
-/// the expanded instance list with `seed`, on the paper cluster.
+/// Parse `spec`, expand it to its instance stream and shuffle that with a
+/// generator seeded by `seed`. The generator comes back too, so
+/// population arrivals can continue its sequence.
+pub(crate) fn shuffled_stream(
+    spec: &str,
+    seed: u64,
+) -> Result<(Vec<(QueryId, Mode)>, StdRng), BenchError> {
+    let mut stream: Vec<(QueryId, Mode)> = parse_spec(spec)?
+        .iter()
+        .flat_map(|e| std::iter::repeat_n((e.query, e.mode), e.repeat as usize))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    rng.shuffle(&mut stream);
+    Ok((stream, rng))
+}
+
+/// Run the workload described by `spec` at scale factor `sf` on
+/// `cluster`, shuffling the expanded instance list with `seed`. Each
+/// query runs solo through [`Dyno::run`](dyno_core::Dyno::run). With
+/// `reuse` the shared `Dyno` keeps its memo across re-optimization rounds
+/// and its plan cache across the whole stream, so repeated queries skip
+/// the join search entirely.
 pub fn run_workload(
-    spec: &str,
-    sf: u64,
-    seed: u64,
-    scale: ExpScale,
-) -> Result<WorkloadReport, BenchError> {
-    run_workload_on(spec, sf, seed, scale, ClusterConfig::paper())
-}
-
-/// [`run_workload`] with optimizer reuse on: the shared [`Dyno`] keeps
-/// its memo across re-optimization rounds and its plan cache across the
-/// whole stream, so repeated queries skip the join search entirely.
-pub fn run_workload_reuse(
-    spec: &str,
-    sf: u64,
-    seed: u64,
-    scale: ExpScale,
-) -> Result<WorkloadReport, BenchError> {
-    run_workload_inner(spec, sf, seed, scale, ClusterConfig::paper(), true)
-}
-
-/// [`run_workload`] on an explicit cluster configuration (e.g. a
-/// memory-starved one, to surface broadcast-OOM recoveries).
-pub fn run_workload_on(
-    spec: &str,
-    sf: u64,
-    seed: u64,
-    scale: ExpScale,
-    cluster: ClusterConfig,
-) -> Result<WorkloadReport, BenchError> {
-    run_workload_inner(spec, sf, seed, scale, cluster, false)
-}
-
-fn run_workload_inner(
     spec: &str,
     sf: u64,
     seed: u64,
@@ -261,15 +249,7 @@ fn run_workload_inner(
     cluster: ClusterConfig,
     reuse: bool,
 ) -> Result<WorkloadReport, BenchError> {
-    let entries = parse_spec(spec)?;
-
-    // Expand to the instance stream and shuffle it reproducibly.
-    let mut stream: Vec<(QueryId, Mode)> = entries
-        .iter()
-        .flat_map(|e| std::iter::repeat((e.query, e.mode)).take(e.repeat as usize))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    rng.shuffle(&mut stream);
+    let (stream, _) = shuffled_stream(spec, seed)?;
 
     // ONE Dyno for the whole stream: the metastore and the obs handles
     // are shared, which is the entire point of the exercise.
@@ -278,41 +258,17 @@ fn run_workload_inner(
     d.opts.reuse_memo = reuse;
     d.opts.reuse_plans = reuse;
 
-    let label = |q: QueryId, m: Mode| format!("{} ({})", queries::prepare(q).spec.name, m.name());
-
     let mut order = Vec::new();
     let mut stats: Vec<QueryStats> = Vec::new();
     let mut overall = Histogram::default();
     let mut trajectory = Vec::new();
     for &(q, mode) in &stream {
-        let name = label(q, mode);
-        // Through the front door: one short-lived QueryService per query
-        // over the long-lived Dyno — a fresh cluster at time zero, the
-        // timeline covering only the latest run, no service trace lane —
-        // which is `Dyno::run`'s contract exactly. The pinned goldens in
-        // tests/workload_golden.rs hold this path byte-identical to the
-        // pre-service solo loop.
-        d.obs.timeline.reset();
-        let mut svc = QueryService::new(
-            d,
-            ServiceConfig {
-                trace_service_lane: false,
-                ..ServiceConfig::default()
-            },
-        );
-        let ticket = svc
-            .submit(0, q, SubmitOpts { mode, ..SubmitOpts::default() })
-            .expect("default quota never rejects");
-        svc.drain();
-        let status = svc.poll(ticket);
-        d = svc.into_dyno();
-        let report = match status {
-            Some(QueryStatus::Done(o)) => o.report,
-            Some(QueryStatus::Failed(message)) => {
-                return Err(BenchError::QueryFailed { query: name.clone(), message })
-            }
-            other => unreachable!("drained ticket neither Done nor Failed: {other:?}"),
-        };
+        let prepared = queries::prepare(q);
+        let name = format!("{} ({})", prepared.spec.name, mode.name());
+        let report = d.run(&prepared, mode).map_err(|e| BenchError::QueryFailed {
+            query: name.clone(),
+            message: e.to_string(),
+        })?;
         let secs = report.total_secs;
         overall.observe(secs);
         match stats.iter_mut().find(|s| s.label == name) {
@@ -559,304 +515,107 @@ impl WorkloadReport {
     }
 }
 
-/// Knobs for the concurrent workload runner.
-#[derive(Debug, Clone, Copy)]
-pub struct ConcurrentOptions {
-    /// Mean inter-arrival gap in simulated seconds (exponential-ish,
-    /// seeded). `0.0` submits every query at t=0.
-    pub arrival_mean: f64,
-    /// Cross-job slot scheduling policy on the shared cluster.
-    pub sched: SchedulerPolicy,
-}
-
-impl Default for ConcurrentOptions {
-    fn default() -> Self {
-        ConcurrentOptions {
-            arrival_mean: 30.0,
-            sched: SchedulerPolicy::Fifo,
-        }
-    }
-}
-
-/// Per-query row of a concurrent stream: when it arrived, how long it
-/// took, and how much of that was spent waiting for the cluster.
-#[derive(Debug, Clone)]
-pub struct ConcurrentQueryReport {
-    /// 1-based position in the (shuffled) stream.
-    pub index: usize,
-    /// Display label, e.g. `Q7 (DYNOPT)`.
-    pub label: String,
-    /// Simulated arrival time.
-    pub arrival_secs: f64,
-    /// Arrival-to-answer latency (includes every wait).
-    pub latency_secs: f64,
-    /// Summed queue delay of this query's jobs: time each job's first
-    /// task waited behind *other* jobs for a free slot.
-    pub queue_delay_secs: f64,
-    /// Summed per-task slot wait across this query's jobs.
-    pub slot_wait_secs: f64,
-    /// Jobs the query submitted.
-    pub jobs: usize,
-    /// Critical-path decomposition of this query's span tree; its
-    /// [`CriticalPath::bottleneck`] names the resource that dominated
-    /// the latency. `None` only if the span tree was incomplete.
-    pub critical: Option<CriticalPath>,
-}
-
-/// The result of one shared-clock concurrent stream.
-#[derive(Debug, Clone)]
-pub struct ConcurrentReport {
-    /// Scale factor.
-    pub sf: u64,
-    /// Shuffle + arrival seed.
-    pub seed: u64,
-    /// Runner knobs the stream ran with.
-    pub opts: ConcurrentOptions,
-    /// Per-query rows, in stream order.
-    pub runs: Vec<ConcurrentQueryReport>,
-    /// First arrival to last answer on the shared clock.
-    pub makespan_secs: f64,
-    /// Sum of per-query latencies — what a back-to-back serial client
-    /// would experience if each query cost its concurrent latency.
-    pub serial_sum_secs: f64,
-    /// Final metastore counters (shared store, so cross-query reuse).
-    pub hits: u64,
-    /// Final metastore miss counter.
-    pub misses: u64,
-    /// The whole stream as ONE Chrome trace: one named pid lane per
-    /// query, one for the service front door's admission events, plus
-    /// the shared cluster's telemetry counters on the `cluster` lane.
-    /// Validated before this report is returned.
-    pub trace_json: String,
-    /// Number of named pid lanes in the trace: one per query plus the
-    /// `service` lane (the telemetry lane is not counted).
-    pub trace_processes: usize,
-    /// Number of `"C"` telemetry counter records merged into the trace.
-    pub trace_counters: usize,
-    /// Submissions the service admitted straight to Running.
-    pub admitted: u64,
-    /// Submissions that waited in the service's admission queue.
-    pub queued_at_admission: u64,
-    /// The shared cluster's telemetry timeline (handle into the sampled
-    /// series) — the `repro timeline` report folds this further.
-    pub timeline: Timeline,
-}
-
-/// Run the workload concurrently: every query in the stream shares ONE
-/// simulated cluster and clock, arriving at seeded offsets, so queries
-/// genuinely contend for map/reduce slots and overlap their idle phases.
-pub fn run_concurrent_workload(
-    spec: &str,
-    sf: u64,
-    seed: u64,
-    scale: ExpScale,
-    opts: ConcurrentOptions,
-) -> Result<ConcurrentReport, BenchError> {
-    run_concurrent_workload_on(spec, sf, seed, scale, ClusterConfig::paper(), opts)
-}
-
-/// [`run_concurrent_workload`] on an explicit base cluster configuration
-/// (the runner overrides its scheduler policy from `opts`).
-pub fn run_concurrent_workload_on(
-    spec: &str,
-    sf: u64,
-    seed: u64,
-    scale: ExpScale,
-    cluster_cfg: ClusterConfig,
-    opts: ConcurrentOptions,
-) -> Result<ConcurrentReport, BenchError> {
-    let entries = parse_spec(spec)?;
-    let mut stream: Vec<(QueryId, Mode)> = entries
-        .iter()
-        .flat_map(|e| std::iter::repeat((e.query, e.mode)).take(e.repeat as usize))
-        .collect();
-    // Same shuffle as the serial runner, then arrival gaps continuing
-    // the same seeded generator (the shared service-crate helper draws
-    // the identical sub-stream the inline loop used to): (spec, sf,
-    // seed, arrival_mean, sched) fully determines the stream.
-    let mut rng = StdRng::seed_from_u64(seed);
-    rng.shuffle(&mut stream);
-    let arrivals = dyno_service::exponential_offsets(&mut rng, stream.len(), opts.arrival_mean);
-
-    let mut d = make_dyno(
-        sf,
-        scale,
-        ClusterConfig {
-            scheduler: opts.sched,
-            ..cluster_cfg
-        },
-        Strategy::Unc(1),
-    );
-    d.obs = Obs::enabled();
-    // Through the front door: ONE QueryService over the shared cluster;
-    // each query arrives via `advance_until` + `submit` and the service
-    // pump interleaves the drivers exactly as the old inline loop did.
-    let mut svc = QueryService::new(d, ServiceConfig::default());
-    let mut tickets = Vec::with_capacity(stream.len());
-    for (&(q, m), &arrival) in stream.iter().zip(arrivals.iter()) {
-        svc.advance_until(arrival);
-        let ticket = svc
-            .submit(0, q, SubmitOpts { mode: m, ..SubmitOpts::default() })
-            .expect("default quota never rejects");
-        tickets.push((ticket, arrival));
-    }
-    svc.drain();
-    svc.finish();
-
-    let mut runs = Vec::with_capacity(tickets.len());
-    for (i, &(ticket, arrival)) in tickets.iter().enumerate() {
-        let outcome = match svc.poll(ticket) {
-            Some(QueryStatus::Done(o)) => o,
-            Some(QueryStatus::Failed(message)) => {
-                return Err(BenchError::QueryFailed {
-                    query: format!("stream#{}", i + 1),
-                    message,
-                })
-            }
-            other => unreachable!("drained ticket neither Done nor Failed: {other:?}"),
-        };
-        // The query span closed at settlement; decompose its subtree
-        // into critical-path segments. Segments reconcile bitwise with
-        // the latency.
-        let critical = CriticalPath::build(&svc.obs().tracer, outcome.query_span);
-        runs.push(ConcurrentQueryReport {
-            index: i + 1,
-            label: outcome.label.clone(),
-            arrival_secs: arrival,
-            latency_secs: outcome.report.total_secs,
-            queue_delay_secs: outcome.queue_delay_secs,
-            slot_wait_secs: outcome.slot_wait_secs,
-            jobs: outcome.jobs,
-            critical,
-        });
-    }
-    let makespan_secs = svc.now();
-    let serial_sum_secs = runs.iter().map(|r| r.latency_secs).sum();
-    let admitted = svc.obs().metrics.counter("service.admitted");
-    let queued_at_admission = svc.obs().metrics.counter("service.queued_at_admission");
-    let d = svc.into_dyno();
-
-    // The whole stream is ONE trace: each query's root span became its
-    // own named pid lane (plus the service's own admission lane), and
-    // the shared cluster's telemetry timeline merged in as counter
-    // records on the `cluster` lane. Validate before handing it out —
-    // per-pid B/E balance, one process_name per query, and per-counter
-    // time order are hard invariants.
-    let trace_json = d.obs.tracer.to_chrome_trace_with(&d.obs.timeline);
-    let summary =
-        validate_chrome_trace(&trace_json).map_err(BenchError::InvalidTrace)?;
-    let expected = runs.len() + 1 + usize::from(summary.counters > 0);
-    if summary.processes != expected {
-        return Err(BenchError::InvalidTrace(format!(
-            "{} queries + the service lane but {} named pid lanes",
-            runs.len(),
-            summary.processes
-        )));
-    }
-
-    Ok(ConcurrentReport {
-        sf,
-        seed,
-        opts,
-        makespan_secs,
-        serial_sum_secs,
-        hits: d.obs.metrics.counter("metastore.hits"),
-        misses: d.obs.metrics.counter("metastore.misses"),
-        trace_json,
-        trace_processes: runs.len() + 1,
-        trace_counters: summary.counters,
-        admitted,
-        queued_at_admission,
-        timeline: d.obs.timeline.clone(),
-        runs,
-    })
-}
-
-impl ConcurrentReport {
-    /// The machine-parseable line `ci.sh` diffs against
-    /// `repro_output.txt`: exact makespan and total queueing delay.
-    pub fn summary_line(&self) -> String {
-        let queue: f64 = self.runs.iter().map(|r| r.queue_delay_secs).sum();
-        format!(
-            "concurrent makespan: {:.3}s  serial-sum: {:.3}s  queue-delay-total: {:.3}s",
-            self.makespan_secs, self.serial_sum_secs, queue
-        )
-    }
-
-    /// Render the full deterministic text report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
+/// The `repro workload --concurrent` view of a population run from an
+/// [`ArrivalSource::Stream`](crate::serve::ArrivalSource::Stream): one
+/// row per query with its arrival, latency, waits and critical-path
+/// bottleneck, then the stream's overlap, metastore and trace summaries.
+/// The last line is the one `ci.sh` diffs against `repro_output.txt`.
+pub fn render_concurrent(report: &ServeReport) -> String {
+    let secs = |x: f64| format!("{x:.1}s");
+    let mut out = String::new();
+    out.push_str(&format!(
+        "== concurrent workload: {} queries, SF={}, seed={}, sched={}, arrival-mean={}s ==\n",
+        report.queries.len(),
+        report.sf,
+        report.seed,
+        report.opts.sched.name(),
+        report.opts.arrival_mean,
+    ));
+    out.push_str(&format!(
+        "  {:>2}  {:<24} {:>10} {:>10} {:>12} {:>11} {:>5}  {}\n",
+        "#", "query", "arrival", "latency", "queue-delay", "slot-wait", "jobs", "bottleneck"
+    ));
+    for (i, r) in report.queries.iter().enumerate() {
         out.push_str(&format!(
-            "== concurrent workload: {} queries, SF={}, seed={}, sched={}, arrival-mean={}s ==\n",
-            self.runs.len(),
-            self.sf,
-            self.seed,
-            self.opts.sched.name(),
-            self.opts.arrival_mean,
+            "  {:>2}. {:<24} {:>9} {:>10} {:>12} {:>11} {:>5}  {}\n",
+            i + 1,
+            r.label,
+            secs(r.arrival_secs),
+            secs(r.latency_secs),
+            secs(r.queue_delay_secs),
+            secs(r.slot_wait_secs),
+            r.jobs,
+            // Scans the whole span log, which is why only this view
+            // builds per-query critical paths.
+            CriticalPath::build(&report.obs.tracer, r.query_span)
+                .as_ref()
+                .map_or("?", |c| c.bottleneck()),
         ));
-        out.push_str(&format!(
-            "  {:>2}  {:<24} {:>10} {:>10} {:>12} {:>11} {:>5}  {}\n",
-            "#", "query", "arrival", "latency", "queue-delay", "slot-wait", "jobs", "bottleneck"
-        ));
-        let secs = |x: f64| format!("{x:.1}s");
-        for r in &self.runs {
-            out.push_str(&format!(
-                "  {:>2}. {:<24} {:>9} {:>10} {:>12} {:>11} {:>5}  {}\n",
-                r.index,
-                r.label,
-                secs(r.arrival_secs),
-                secs(r.latency_secs),
-                secs(r.queue_delay_secs),
-                secs(r.slot_wait_secs),
-                r.jobs,
-                r.critical.as_ref().map(|c| c.bottleneck()).unwrap_or("?"),
-            ));
-        }
-        let speedup = if self.makespan_secs > 0.0 {
-            self.serial_sum_secs / self.makespan_secs
-        } else {
-            1.0
-        };
-        out.push_str(&format!(
-            "stream makespan {} vs serial sum {} (overlap x{speedup:.2})\n",
-            secs(self.makespan_secs),
-            secs(self.serial_sum_secs),
-        ));
-        let lookups = self.hits + self.misses;
-        let rate = if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        };
-        out.push_str(&format!(
-            "metastore: {}/{} hits ({})\n",
-            self.hits,
-            lookups,
-            pct(rate)
-        ));
-        out.push_str(&format!(
-            "service admission: {} admitted, {} queued at admission, policy {}\n",
-            self.admitted,
-            self.queued_at_admission,
-            self.opts.sched.name(),
-        ));
-        out.push_str(&format!(
-            "chrome trace: {} named pid lanes, {} telemetry counters, balanced (validated)\n",
-            self.trace_processes, self.trace_counters
-        ));
-        out.push_str(&self.summary_line());
-        out.push('\n');
-        out
     }
+    let serial_sum: f64 = report.queries.iter().map(|r| r.latency_secs).sum();
+    let speedup = if report.makespan_secs > 0.0 {
+        serial_sum / report.makespan_secs
+    } else {
+        1.0
+    };
+    out.push_str(&format!(
+        "stream makespan {} vs serial sum {} (overlap x{speedup:.2})\n",
+        secs(report.makespan_secs),
+        secs(serial_sum),
+    ));
+    let metrics = &report.obs.metrics;
+    let hits = metrics.counter("metastore.hits");
+    let lookups = hits + metrics.counter("metastore.misses");
+    let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+    out.push_str(&format!("metastore: {hits}/{lookups} hits ({})\n", pct(rate)));
+    out.push_str(&format!(
+        "service admission: {} admitted, {} queued at admission, policy {}\n",
+        metrics.counter("service.admitted"),
+        report.queued_at_admission,
+        report.opts.sched.name(),
+    ));
+    out.push_str(&format!(
+        "chrome trace: {} named pid lanes, {} telemetry counters, balanced (validated)\n",
+        report.trace_processes, report.trace_counters
+    ));
+    let queue: f64 = report.queries.iter().map(|r| r.queue_delay_secs).sum();
+    out.push_str(&format!(
+        "concurrent makespan: {:.3}s  serial-sum: {serial_sum:.3}s  queue-delay-total: {queue:.3}s",
+        report.makespan_secs,
+    ));
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{run_serve, ArrivalSource, ServeOptions};
+    use dyno_cluster::SchedulerPolicy;
     use dyno_common::prop;
+    use dyno_obs::validate_chrome_trace;
 
     fn coarse() -> ExpScale {
         ExpScale { divisor: 200_000 }
+    }
+
+    fn serial(spec: &str, seed: u64, reuse: bool) -> WorkloadReport {
+        run_workload(spec, 1, seed, coarse(), ClusterConfig::paper(), reuse).unwrap()
+    }
+
+    fn concurrent(
+        spec: &str,
+        sf: u64,
+        seed: u64,
+        arrival_mean: f64,
+        sched: SchedulerPolicy,
+    ) -> Result<ServeReport, BenchError> {
+        let opts = ServeOptions {
+            arrival_mean,
+            sched,
+            ..ServeOptions::default()
+        };
+        run_serve(spec, sf, seed, coarse(), ArrivalSource::Stream, opts)
     }
 
     #[test]
@@ -888,7 +647,7 @@ mod tests {
 
     #[test]
     fn workload_reports_trajectory_and_contention() {
-        let r = run_workload("q2x2,q10x2", 1, 7, coarse()).unwrap();
+        let r = serial("q2x2,q10x2", 7, false);
         assert_eq!(r.order.len(), 4);
         assert_eq!(r.trajectory.len(), 4);
         assert_eq!(r.overall.count, 4);
@@ -910,8 +669,8 @@ mod tests {
 
     #[test]
     fn reuse_workload_hits_plan_cache_and_cuts_optimizer_time() {
-        let cold = run_workload("q2x3,q10", 1, 7, coarse()).unwrap();
-        let warm = run_workload_reuse("q2x3,q10", 1, 7, coarse()).unwrap();
+        let cold = serial("q2x3,q10", 7, false);
+        let warm = serial("q2x3,q10", 7, true);
 
         // The cold report carries no cache state and renders no cache
         // lines at all — byte-identity for reuse-off runs.
@@ -961,7 +720,7 @@ mod tests {
             slot_memory_bytes: 4 * 1024 * 1024,
             ..ClusterConfig::paper()
         };
-        let r = run_workload_on("q9_prime", 100, 0, coarse(), starved).unwrap();
+        let r = run_workload("q9_prime", 100, 0, coarse(), starved, false).unwrap();
         assert!(!r.ooms.is_empty(), "4MB slots must overflow Q9' builds");
         for o in &r.ooms {
             assert_eq!(o.query, "Q9' (DYNOPT)");
@@ -983,12 +742,8 @@ mod tests {
             3,
             |g| g.gen_range(0..1000u64),
             |&seed| {
-                let a = run_workload("q2x2,q10", 1, seed, coarse())
-                    .map_err(|e| e.to_string())?
-                    .render();
-                let b = run_workload("q2x2,q10", 1, seed, coarse())
-                    .map_err(|e| e.to_string())?
-                    .render();
+                let a = serial("q2x2,q10", seed, false).render();
+                let b = serial("q2x2,q10", seed, false).render();
                 if a != b {
                     return Err("same seed produced different reports".to_owned());
                 }
@@ -999,45 +754,40 @@ mod tests {
 
     #[test]
     fn concurrent_stream_overlaps_and_attributes_waits() {
-        let r = run_concurrent_workload(
-            "q2,q7,q10",
-            1,
-            7,
-            coarse(),
-            ConcurrentOptions {
-                arrival_mean: 5.0,
-                sched: SchedulerPolicy::Fifo,
-            },
-        )
-        .unwrap();
-        assert_eq!(r.runs.len(), 3);
+        let r = concurrent("q2,q7,q10", 1, 7, 5.0, SchedulerPolicy::Fifo).unwrap();
+        assert_eq!(r.queries.len(), 3);
         assert_eq!(
             r.trace_processes, 4,
             "one named pid lane per query plus the service lane"
         );
-        assert_eq!(r.admitted, 3, "default quota admits everything directly");
+        assert_eq!(
+            r.obs.metrics.counter("service.admitted"),
+            3,
+            "default quota admits everything directly"
+        );
         assert_eq!(r.queued_at_admission, 0);
         // With 5s mean gaps and multi-minute queries the stream overlaps:
         // the shared clock beats running the same latencies back to back.
+        let serial_sum: f64 = r.queries.iter().map(|q| q.latency_secs).sum();
         assert!(
-            r.makespan_secs < r.serial_sum_secs,
-            "makespan {} vs serial sum {}",
+            r.makespan_secs < serial_sum,
+            "makespan {} vs serial sum {serial_sum}",
             r.makespan_secs,
-            r.serial_sum_secs
         );
         // Arrivals are the seeded offsets, in stream order.
-        assert_eq!(r.runs[0].arrival_secs, 0.0);
-        for w in r.runs.windows(2) {
+        assert_eq!(r.queries[0].arrival_secs, 0.0);
+        for w in r.queries.windows(2) {
             assert!(w[1].arrival_secs >= w[0].arrival_secs);
         }
-        for run in &r.runs {
+        for run in &r.queries {
             assert!(run.jobs > 0, "{} ran no jobs", run.label);
             assert!(run.latency_secs > 0.0);
             assert!(run.queue_delay_secs >= 0.0);
             assert!(run.slot_wait_secs >= 0.0);
             // Tentpole invariant: the critical-path segments of every
             // query sum bitwise to its reported latency.
-            let cp = run.critical.as_ref().expect("critical path built");
+            let cp = CriticalPath::build(&r.obs.tracer, run.query_span)
+                .expect("critical path built");
             assert_eq!(
                 cp.total().to_bits(),
                 run.latency_secs.to_bits(),
@@ -1046,7 +796,7 @@ mod tests {
             );
             assert!(!cp.bottleneck().is_empty());
         }
-        let text = r.render();
+        let text = render_concurrent(&r);
         assert!(text.contains("== concurrent workload:"));
         assert!(text.contains("queue-delay"));
         assert!(
@@ -1075,43 +825,20 @@ mod tests {
         // arrival_mean = 0: every query arrives at t=0 and fights for
         // slots immediately; someone must queue behind someone else.
         // SF100 at the coarse divisor keeps jobs big enough to contend.
-        let r = run_concurrent_workload(
-            "q2,q7,q10",
-            100,
-            3,
-            coarse(),
-            ConcurrentOptions {
-                arrival_mean: 0.0,
-                sched: SchedulerPolicy::Fifo,
-            },
-        )
-        .unwrap();
-        assert!(r.runs.iter().all(|x| x.arrival_secs == 0.0));
+        let r = concurrent("q2,q7,q10", 100, 3, 0.0, SchedulerPolicy::Fifo).unwrap();
+        assert!(r.queries.iter().all(|x| x.arrival_secs == 0.0));
         assert!(
-            r.runs.iter().any(|x| x.queue_delay_secs > 0.0),
+            r.queries.iter().any(|x| x.queue_delay_secs > 0.0),
             "simultaneous arrivals must produce queueing"
         );
     }
 
     #[test]
     fn concurrent_fair_scheduling_runs_the_same_stream() {
-        let mk = |sched| {
-            run_concurrent_workload(
-                "q2,q10x2",
-                1,
-                11,
-                coarse(),
-                ConcurrentOptions {
-                    arrival_mean: 2.0,
-                    sched,
-                },
-            )
-            .unwrap()
-        };
-        let fifo = mk(SchedulerPolicy::Fifo);
-        let fair = mk(SchedulerPolicy::Fair);
+        let fifo = concurrent("q2,q10x2", 1, 11, 2.0, SchedulerPolicy::Fifo).unwrap();
+        let fair = concurrent("q2,q10x2", 1, 11, 2.0, SchedulerPolicy::Fair).unwrap();
         // Same stream, same arrivals — only the slot-grant order differs.
-        for (a, b) in fifo.runs.iter().zip(fair.runs.iter()) {
+        for (a, b) in fifo.queries.iter().zip(fair.queries.iter()) {
             assert_eq!(a.label, b.label);
             assert_eq!(a.arrival_secs.to_bits(), b.arrival_secs.to_bits());
         }
@@ -1133,18 +860,9 @@ mod tests {
             },
             |&(seed, sched)| {
                 let run_once = || {
-                    run_concurrent_workload(
-                        "q2,q10x2",
-                        1,
-                        seed,
-                        coarse(),
-                        ConcurrentOptions {
-                            arrival_mean: 5.0,
-                            sched,
-                        },
-                    )
-                    .map_err(|e| e.to_string())
-                    .map(|r| (r.render(), r.trace_json))
+                    concurrent("q2,q10x2", 1, seed, 5.0, sched)
+                        .map_err(|e| e.to_string())
+                        .map(|r| (render_concurrent(&r), r.trace_json))
                 };
                 let (report_a, trace_a) = run_once()?;
                 let (report_b, trace_b) = run_once()?;
@@ -1161,23 +879,8 @@ mod tests {
 
     #[test]
     fn different_seeds_can_reorder_the_stream() {
-        let orders: Vec<Vec<String>> = (0..6)
-            .map(|seed| {
-                parse_spec("q2x2,q10x2")
-                    .map(|entries| {
-                        let mut stream: Vec<String> = entries
-                            .iter()
-                            .flat_map(|e| {
-                                std::iter::repeat(format!("{:?}", e.query))
-                                    .take(e.repeat as usize)
-                            })
-                            .collect();
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        rng.shuffle(&mut stream);
-                        stream
-                    })
-                    .unwrap()
-            })
+        let orders: Vec<Vec<(QueryId, Mode)>> = (0..6)
+            .map(|seed| shuffled_stream("q2x2,q10x2", seed).unwrap().0)
             .collect();
         assert!(
             orders.windows(2).any(|w| w[0] != w[1]),

@@ -26,7 +26,9 @@
 use std::path::PathBuf;
 
 use dyno_bench::cli::{parse_cli, parse_sf, positional, Cli};
-use dyno_bench::{reopt_ab, run_concurrent_workload, run_serve, timeline_report, ExpScale};
+use dyno_bench::{
+    render_concurrent, render_timeline, reopt_ab, run_serve, ArrivalSource, ExpScale, ServeReport,
+};
 
 const SERVE: &str = "serve q2x6,q7x5,q9x5 100 --seed 11 --divisor 200000 --tenants 1000 \
                      --sched edf --arrival-mean 15 --slo-mult 2";
@@ -59,20 +61,20 @@ fn assert_golden(name: &str, got: &str) {
     );
 }
 
-fn concurrent(args: &str) -> String {
+/// The population run `repro` makes for `args`.
+fn population(args: &str, source: ArrivalSource) -> ServeReport {
     let c = cli(args);
     let spec = positional(&c, 1, "<spec>").unwrap();
     let sf = parse_sf(&c, 2).unwrap();
-    run_concurrent_workload(spec, sf, c.seed, scale(&c), c.workload_opts)
-        .unwrap()
-        .render()
+    run_serve(spec, sf, c.seed, scale(&c), source, c.serve_opts).unwrap()
 }
 
-fn serve(args: &str) -> dyno_bench::ServeReport {
-    let c = cli(args);
-    let spec = positional(&c, 1, "<spec>").unwrap();
-    let sf = parse_sf(&c, 2).unwrap();
-    run_serve(spec, sf, c.seed, scale(&c), c.serve_opts).unwrap()
+fn concurrent(args: &str) -> String {
+    render_concurrent(&population(args, ArrivalSource::Stream))
+}
+
+fn serve(args: &str) -> ServeReport {
+    population(args, ArrivalSource::Tenants)
 }
 
 #[test]
@@ -83,10 +85,11 @@ fn step06_concurrent_workload_report() {
 
 #[test]
 fn step07_timeline_report() {
-    let c = cli("timeline q2,q7,q9 100 --seed 7 --divisor 200000");
-    let spec = positional(&c, 1, "<query|spec>").unwrap();
-    let sf = parse_sf(&c, 2).unwrap();
-    let got = timeline_report(spec, sf, c.seed, scale(&c), c.workload_opts).unwrap();
+    let report = population(
+        "timeline q2,q7,q9 100 --seed 7 --divisor 200000",
+        ArrivalSource::Stream,
+    );
+    let got = render_timeline(&report);
     assert_golden("step07_timeline.txt", &got);
 }
 

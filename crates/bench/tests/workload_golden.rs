@@ -11,14 +11,16 @@
 //! ```
 
 use dyno_bench::experiments::ExpScale;
-use dyno_bench::workload::run_workload;
+use dyno_bench::workload::{run_workload, WorkloadReport};
+use dyno_cluster::ClusterConfig;
 
 const SPEC: &str = "q2x2,q10";
 const SF: u64 = 1;
 const SEED: u64 = 7;
 
-fn scale() -> ExpScale {
-    ExpScale { divisor: 200_000 }
+fn run() -> WorkloadReport {
+    let scale = ExpScale { divisor: 200_000 };
+    run_workload(SPEC, SF, SEED, scale, ClusterConfig::paper(), false).unwrap()
 }
 
 const GOLDEN_REPORT: &str = include_str!("golden/workload_q2x2_q10_sf1_report.txt");
@@ -33,7 +35,7 @@ fn first_diff(a: &str, b: &str) -> usize {
 
 #[test]
 fn serial_workload_report_matches_pre_fold_golden() {
-    let r = run_workload(SPEC, SF, SEED, scale()).unwrap();
+    let r = run();
     let render = r.render();
     assert!(
         render == GOLDEN_REPORT,
@@ -45,7 +47,7 @@ fn serial_workload_report_matches_pre_fold_golden() {
 
 #[test]
 fn serial_workload_trace_matches_pre_fold_golden() {
-    let r = run_workload(SPEC, SF, SEED, scale()).unwrap();
+    let r = run();
     assert!(
         r.trace_json == GOLDEN_TRACE,
         "serial workload Chrome trace drifted from the pre-fold golden at byte {} \
@@ -58,7 +60,7 @@ fn serial_workload_trace_matches_pre_fold_golden() {
 #[test]
 #[ignore = "golden regenerator, run explicitly"]
 fn regen() {
-    let r = run_workload(SPEC, SF, SEED, scale()).unwrap();
+    let r = run();
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::write(dir.join("workload_q2x2_q10_sf1_report.txt"), r.render()).unwrap();
     std::fs::write(dir.join("workload_q2x2_q10_sf1_chrome_trace.json"), &r.trace_json).unwrap();

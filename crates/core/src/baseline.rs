@@ -1,12 +1,12 @@
 //! The experiment baselines (paper §6.1).
 //!
-//! * [`best_static_jaql`] — `BESTSTATICJAQL`: stock Jaql's left-deep,
-//!   FROM-order join planning with the small-file broadcast rewrite, over
-//!   the best FROM permutation. The paper's authors "tried all possible
-//!   orders and picked the best one"; we rank every order that Jaql's
-//!   heuristic could produce using *true* intermediate sizes from the
-//!   [`crate::oracle`] under the platform cost model, then execute the
-//!   winner for real.
+//! * [`best_jaql_alias_order`] + [`begin_jaql_order`] — `BESTSTATICJAQL`:
+//!   stock Jaql's left-deep, FROM-order join planning with the small-file
+//!   broadcast rewrite, over the best FROM permutation. The paper's
+//!   authors "tried all possible orders and picked the best one"; we rank
+//!   every order that Jaql's heuristic could produce using *true*
+//!   intermediate sizes from the [`crate::oracle`] under the platform cost
+//!   model, then execute the winner for real.
 //! * [`relopt_leaf_stats`] — the `RELOPT` stand-in for DBMS-X: exact
 //!   base-table statistics (histograms ⇒ exact single-predicate
 //!   selectivities), combined under the **independence assumption**, with
@@ -117,23 +117,10 @@ fn true_cost_of_order(
     cost
 }
 
-/// Find and execute the best stock-Jaql plan. Returns the join-block
-/// output plus the rendered plan.
-pub fn best_static_jaql(
-    exec: &Executor,
-    cluster: &mut Cluster,
-    block: &JoinBlock,
-    model: &CostModel,
-) -> Result<(JobOutput, String), DynoError> {
-    let alias_order = best_jaql_alias_order(exec, cluster, block, model);
-    execute_jaql_order(exec, cluster, block, model, &alias_order)
-}
-
 /// Rank every Jaql-producible left-deep order with true sizes and return
-/// the winner's alias order — the plan-selection half of
-/// [`best_static_jaql`], split out so resumable drivers can execute the
-/// chosen order through [`begin_jaql_order`]. Costs no simulated time
-/// (the paper's authors did this offline).
+/// the winner's alias order; resumable drivers execute it through
+/// [`begin_jaql_order`]. Costs no simulated time (the paper's authors did
+/// this offline).
 pub fn best_jaql_alias_order(
     exec: &Executor,
     cluster: &mut Cluster,
@@ -179,25 +166,6 @@ pub fn best_jaql_alias_order(
                 .clone()
         })
         .collect()
-}
-
-/// Execute stock Jaql over a given FROM order (also used for the
-/// "as-written" mode), blocking until done. Thin wrapper over
-/// [`begin_jaql_order`] + [`JaqlRun::poll`].
-pub fn execute_jaql_order(
-    exec: &Executor,
-    cluster: &mut Cluster,
-    block: &JoinBlock,
-    model: &CostModel,
-    from_order: &[String],
-) -> Result<(JobOutput, String), DynoError> {
-    let mut run = begin_jaql_order(exec, cluster, block, model, from_order);
-    loop {
-        match run.poll(exec, cluster)? {
-            JaqlStep::Wait(handles) => cluster.run_until_done(&handles),
-            JaqlStep::Done(out) => return Ok(*out),
-        }
-    }
 }
 
 /// One poll of a [`JaqlRun`].
@@ -371,25 +339,6 @@ mod tests {
         // Q10's join graph is a tree around orders/customer; far fewer
         // orders than 4! are producible.
         assert!(orders.len() < 24);
-    }
-
-    #[test]
-    fn best_static_jaql_executes_and_is_left_deep() {
-        let (exec, mut cluster, block) = setup(QueryId::Q10);
-        let model = CostModel::default();
-        let (out, plan) = best_static_jaql(&exec, &mut cluster, &block, &model).unwrap();
-        assert!(out.rows > 0);
-        assert!(plan.contains('⋈'));
-        // execute the as-written order too: same result
-        let (out2, _) = execute_jaql_order(
-            &exec,
-            &mut cluster,
-            &block,
-            &model,
-            &block.from_order.clone(),
-        )
-        .unwrap();
-        assert_eq!(out.rows, out2.rows);
     }
 
     #[test]

@@ -320,6 +320,8 @@ mod tests {
         }
         let first = &reports[0];
         assert!(first.rows > 0);
+        let best_static = &reports[3];
+        assert!(best_static.plans.iter().all(|p| p.contains('⋈')), "{:?}", best_static.plans);
         for r in &reports[1..] {
             assert_eq!(r.rows, first.rows, "{} disagrees", r.mode);
             assert_eq!(r.result, first.result, "{} result differs", r.mode);

@@ -64,60 +64,86 @@ impl WindowSpec {
 /// Sentinel for "this slot has never been written".
 const EMPTY: u64 = u64::MAX;
 
+/// The epoch-addressed ring every windowed series shares: slot
+/// `e % buckets` holds epoch `e`'s value and is reset to `T::default()`
+/// when a write for a newer epoch lands on it.
+#[derive(Debug, Clone)]
+struct Ring<T> {
+    spec: WindowSpec,
+    slots: Vec<(u64, T)>,
+}
+
+impl<T: Clone + Default> Ring<T> {
+    fn new(spec: WindowSpec) -> Self {
+        Ring {
+            spec,
+            slots: vec![(EMPTY, T::default()); spec.buckets],
+        }
+    }
+
+    /// The slot owning epoch `e`, reset first if it holds a stale epoch.
+    fn slot_mut(&mut self, e: u64) -> &mut T {
+        let i = (e % self.spec.buckets as u64) as usize;
+        if self.slots[i].0 != e {
+            self.slots[i] = (e, T::default());
+        }
+        &mut self.slots[i].1
+    }
+
+    /// The slot owning simulated time `t`'s epoch.
+    fn at_mut(&mut self, t: f64) -> &mut T {
+        self.slot_mut(self.spec.epoch(t))
+    }
+
+    /// Every slot whose epoch is still inside the window ending at `t`.
+    fn live(&self, t: f64) -> impl Iterator<Item = &T> {
+        let (lo, hi) = (self.spec.oldest(t), self.spec.epoch(t));
+        self.slots
+            .iter()
+            .filter(move |(e, _)| *e != EMPTY && (lo..=hi).contains(e))
+            .map(|(_, v)| v)
+    }
+}
+
 /// A ring of per-slot [`Histogram`]s: `observe(t, v)` records into the
 /// slot owning `t`'s epoch, `snapshot(t)` merges every slot still inside
 /// the window ending at `t`.
 #[derive(Debug, Clone)]
 pub struct WindowedHistogram {
-    spec: WindowSpec,
-    slots: Vec<(u64, Histogram)>,
+    ring: Ring<Histogram>,
 }
 
 impl WindowedHistogram {
     /// An empty ring for `spec`.
     pub fn new(spec: WindowSpec) -> Self {
         WindowedHistogram {
-            spec,
-            slots: vec![(EMPTY, Histogram::default()); spec.buckets],
+            ring: Ring::new(spec),
         }
     }
 
     /// The window shape.
     pub fn spec(&self) -> WindowSpec {
-        self.spec
+        self.ring.spec
     }
 
     /// Record one observation at simulated time `t`.
     pub fn observe(&mut self, t: f64, value: f64) {
-        let e = self.spec.epoch(t);
-        let i = (e % self.spec.buckets as u64) as usize;
-        if self.slots[i].0 != e {
-            self.slots[i] = (e, Histogram::default());
-        }
-        self.slots[i].1.observe(value);
+        self.ring.at_mut(t).observe(value);
     }
 
     /// Merged histogram of every observation still inside the window
     /// ending at `t`.
     pub fn snapshot(&self, t: f64) -> Histogram {
-        let (lo, hi) = (self.spec.oldest(t), self.spec.epoch(t));
         let mut out = Histogram::default();
-        for (e, h) in &self.slots {
-            if *e != EMPTY && (lo..=hi).contains(e) {
-                out.merge(h);
-            }
+        for h in self.ring.live(t) {
+            out.merge(h);
         }
         out
     }
 
     /// Observation count inside the window ending at `t`.
     pub fn count(&self, t: f64) -> u64 {
-        let (lo, hi) = (self.spec.oldest(t), self.spec.epoch(t));
-        self.slots
-            .iter()
-            .filter(|(e, _)| *e != EMPTY && (lo..=hi).contains(e))
-            .map(|(_, h)| h.count)
-            .sum()
+        self.ring.live(t).map(|h| h.count).sum()
     }
 }
 
@@ -125,47 +151,35 @@ impl WindowedHistogram {
 /// rejections, SLO misses) and their per-second rates.
 #[derive(Debug, Clone)]
 pub struct WindowedCounter {
-    spec: WindowSpec,
-    slots: Vec<(u64, u64)>,
+    ring: Ring<u64>,
 }
 
 impl WindowedCounter {
     /// An empty ring for `spec`.
     pub fn new(spec: WindowSpec) -> Self {
         WindowedCounter {
-            spec,
-            slots: vec![(EMPTY, 0); spec.buckets],
+            ring: Ring::new(spec),
         }
     }
 
     /// The window shape.
     pub fn spec(&self) -> WindowSpec {
-        self.spec
+        self.ring.spec
     }
 
     /// Add `by` at simulated time `t`.
     pub fn incr(&mut self, t: f64, by: u64) {
-        let e = self.spec.epoch(t);
-        let i = (e % self.spec.buckets as u64) as usize;
-        if self.slots[i].0 != e {
-            self.slots[i] = (e, 0);
-        }
-        self.slots[i].1 += by;
+        *self.ring.at_mut(t) += by;
     }
 
     /// Sum over the window ending at `t`.
     pub fn sum(&self, t: f64) -> u64 {
-        let (lo, hi) = (self.spec.oldest(t), self.spec.epoch(t));
-        self.slots
-            .iter()
-            .filter(|(e, _)| *e != EMPTY && (lo..=hi).contains(e))
-            .map(|(_, n)| n)
-            .sum()
+        self.ring.live(t).sum()
     }
 
     /// Events per second over the window ending at `t`.
     pub fn rate_per_sec(&self, t: f64) -> f64 {
-        self.sum(t) as f64 / self.spec.secs
+        self.sum(t) as f64 / self.ring.spec.secs
     }
 }
 
@@ -188,8 +202,7 @@ struct GaugeSlot {
 /// the pump loop happened to sample.
 #[derive(Debug, Clone)]
 pub struct WindowedGauge {
-    spec: WindowSpec,
-    slots: Vec<(u64, GaugeSlot)>,
+    ring: Ring<GaugeSlot>,
     /// Most recent `(time, value)` step, not yet integrated past `time`.
     last: Option<(f64, f64)>,
 }
@@ -198,23 +211,14 @@ impl WindowedGauge {
     /// An empty ring for `spec`.
     pub fn new(spec: WindowSpec) -> Self {
         WindowedGauge {
-            spec,
-            slots: vec![(EMPTY, GaugeSlot::default()); spec.buckets],
+            ring: Ring::new(spec),
             last: None,
         }
     }
 
     /// The window shape.
     pub fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
-    fn slot_mut(&mut self, e: u64) -> &mut GaugeSlot {
-        let i = (e % self.spec.buckets as u64) as usize;
-        if self.slots[i].0 != e {
-            self.slots[i] = (e, GaugeSlot::default());
-        }
-        &mut self.slots[i].1
+        self.ring.spec
     }
 
     /// Integrate the held value forward to `t` (no-op if `t` is not
@@ -226,16 +230,15 @@ impl WindowedGauge {
         if t <= t0 {
             return;
         }
-        let start_e = self.spec.epoch(t0).max(self.spec.oldest(t));
-        let end_e = self.spec.epoch(t);
-        let slot_secs = self.spec.slot_secs();
-        for e in start_e..=end_e {
+        let spec = self.ring.spec;
+        let slot_secs = spec.slot_secs();
+        for e in spec.epoch(t0).max(spec.oldest(t))..=spec.epoch(t) {
             let seg_lo = (e as f64 * slot_secs).max(t0);
             let seg_hi = ((e + 1) as f64 * slot_secs).min(t);
             if seg_hi <= seg_lo {
                 continue;
             }
-            let slot = self.slot_mut(e);
+            let slot = self.ring.slot_mut(e);
             slot.area += v * (seg_hi - seg_lo);
             slot.span += seg_hi - seg_lo;
             slot.max = slot.max.max(v);
@@ -248,8 +251,7 @@ impl WindowedGauge {
         self.advance_to(t);
         // Make a same-instant step visible to `max` even though it spans
         // zero seconds (and hence adds no area).
-        let e = self.spec.epoch(t);
-        let slot = self.slot_mut(e);
+        let slot = self.ring.at_mut(t);
         slot.max = slot.max.max(v);
         self.last = Some((t, v));
     }
@@ -258,13 +260,10 @@ impl WindowedGauge {
     /// was recorded). Advances the held value to `t` first.
     pub fn mean(&mut self, t: f64) -> f64 {
         self.advance_to(t);
-        let (lo, hi) = (self.spec.oldest(t), self.spec.epoch(t));
         let (mut area, mut span) = (0.0, 0.0);
-        for (e, s) in &self.slots {
-            if *e != EMPTY && (lo..=hi).contains(e) {
-                area += s.area;
-                span += s.span;
-            }
+        for s in self.ring.live(t) {
+            area += s.area;
+            span += s.span;
         }
         if span > 0.0 {
             area / span
@@ -278,12 +277,7 @@ impl WindowedGauge {
     /// to `t` first.
     pub fn max(&mut self, t: f64) -> f64 {
         self.advance_to(t);
-        let (lo, hi) = (self.spec.oldest(t), self.spec.epoch(t));
-        self.slots
-            .iter()
-            .filter(|(e, _)| *e != EMPTY && (lo..=hi).contains(e))
-            .map(|(_, s)| s.max)
-            .fold(0.0, f64::max)
+        self.ring.live(t).map(|s| s.max).fold(0.0, f64::max)
     }
 }
 

@@ -73,7 +73,7 @@ impl Default for TenantQuota {
 }
 
 /// Service-wide configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
     /// Admission limits, applied uniformly to every tenant.
     pub quota: TenantQuota,
@@ -107,24 +107,6 @@ pub struct ServiceConfig {
     /// or scheduling. Pairs with `health` — without an [`SloPolicy`] no
     /// alert can fire, so it only accumulates state samples.
     pub recorder: Option<RecorderPolicy>,
-    /// Whether the service opens its own root span (the "service" pid
-    /// lane in the Chrome export) when tracing is enabled. The serial
-    /// workload runner turns this off: one service per query must leave
-    /// the trace byte-identical to the pre-service solo path.
-    pub trace_service_lane: bool,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            quota: TenantQuota::default(),
-            health: None,
-            sampling: None,
-            replan_after: None,
-            recorder: None,
-            trace_service_lane: true,
-        }
-    }
 }
 
 /// Per-submission options: how to run the query and how urgently.
@@ -382,9 +364,8 @@ pub struct QueryService {
     tenants: BTreeMap<TenantId, TenantStats>,
     /// Root span every admission-control event hangs off — its own pid
     /// lane ("service") in the Chrome export, alongside the query lanes.
-    /// `NO_SPAN` when tracing is off *or* the lane is suppressed
-    /// (`ServiceConfig::trace_service_lane = false`); service events are
-    /// skipped in that case so they never attach to a nonexistent span.
+    /// `NO_SPAN` when tracing is off; service events are skipped in that
+    /// case so they never attach to a nonexistent span.
     service_span: SpanId,
     finished: bool,
     health: Option<HealthState>,
@@ -404,7 +385,7 @@ impl QueryService {
             dyno.obs.metrics.clone(),
             dyno.obs.timeline.clone(),
         );
-        let service_span = if cfg.trace_service_lane && dyno.obs.tracer.is_enabled() {
+        let service_span = if dyno.obs.tracer.is_enabled() {
             dyno.obs
                 .tracer
                 .start_span(NO_SPAN, SpanKind::Phase, "service", cluster.now())
@@ -434,16 +415,6 @@ impl QueryService {
     /// observability handles.
     pub fn dyno(&self) -> &Dyno {
         &self.dyno
-    }
-
-    /// Tear the service down and hand back its [`Dyno`] (closing the
-    /// service span first, if one is open). The serial workload runner
-    /// stands up one short-lived service per query over the same
-    /// long-lived `Dyno`, exactly as `Dyno::run` builds one cluster per
-    /// query over the same metastore.
-    pub fn into_dyno(mut self) -> Dyno {
-        self.finish();
-        self.dyno
     }
 
     /// The shared simulated clock.
