@@ -78,8 +78,8 @@ pub struct Cli {
     /// `--reuse` (serial workload runner: memo + plan-cache reuse).
     pub reuse: bool,
     /// Population-runner knobs (`--arrival-mean`, `--sched`,
-    /// `--tenants`, `--slo-mult`, …) for `serve`, `timeline` and
-    /// `workload --concurrent`.
+    /// `--tenants`, `--slo-mult`, …) for `serve`; `timeline` and
+    /// `workload --concurrent` take `--arrival-mean` and `--sched` only.
     pub serve_opts: ServeOptions,
 }
 

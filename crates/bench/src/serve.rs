@@ -47,7 +47,8 @@ pub enum ArrivalSource {
     /// One client's stream (`workload --concurrent`, `timeline`): seeded
     /// exponential gaps of mean `arrival_mean`, continuing the shuffle's
     /// generator, every query on tenant 0, with no deadlines and no
-    /// admission quota.
+    /// admission quota. Only `arrival_mean` and `sched` apply; every
+    /// other [`ServeOptions`] knob keeps its default.
     Stream,
     /// A tenant population (`serve`): [`generate_arrivals`] offsets and
     /// skew-drawn tenants, each submission carrying a deadline of
@@ -311,6 +312,14 @@ pub fn run_serve(
     opts: ServeOptions,
 ) -> Result<ServeReport, BenchError> {
     let (stream, mut rng) = shuffled_stream(spec, seed)?;
+    let opts = match source {
+        ArrivalSource::Stream => ServeOptions {
+            arrival_mean: opts.arrival_mean,
+            sched: opts.sched,
+            ..ServeOptions::default()
+        },
+        ArrivalSource::Tenants => opts,
+    };
 
     // `(tenant, arrival time, deadline)` per stream entry.
     let (arrivals, quota): (Vec<(TenantId, f64, Option<f64>)>, TenantQuota) = match source {
@@ -420,11 +429,17 @@ pub fn run_serve(
     let mut completed = 0u64;
     let mut per_tenant: BTreeMap<TenantId, TenantRow> = BTreeMap::new();
     let mut queries = Vec::with_capacity(tickets.len());
-    for &(tenant, arrival_secs, ticket) in &tickets {
+    for (i, &(tenant, arrival_secs, ticket)) in tickets.iter().enumerate() {
         let Some(ticket) = ticket else { continue };
         let status = service.poll(ticket).expect("submitted tickets exist");
         let outcome = match status {
             QueryStatus::Done(o) => o,
+            QueryStatus::Failed(message) => {
+                return Err(BenchError::QueryFailed {
+                    query: format!("stream#{}", i + 1),
+                    message,
+                })
+            }
             other => {
                 return Err(BenchError::QueryFailed {
                     query: format!("ticket {}", ticket.0),

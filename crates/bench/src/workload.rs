@@ -845,6 +845,40 @@ mod tests {
         assert_eq!(fifo.trace_processes, fair.trace_processes);
     }
 
+    /// A stream takes `arrival_mean` and `sched` only: the serve-only
+    /// knobs (nodes, sampling, health digests, incidents, quota,
+    /// tenants) leave the `--concurrent` and `timeline` views and the
+    /// trace untouched.
+    #[test]
+    fn stream_ignores_serve_only_knobs() {
+        let plain = concurrent("q2,q10x2", 1, 11, 2.0, SchedulerPolicy::Fair).unwrap();
+        let knobs = ServeOptions {
+            arrival_mean: 2.0,
+            sched: SchedulerPolicy::Fair,
+            tenants: 7,
+            slo_mult: 1.5,
+            max_in_flight: 1,
+            quota_slot_secs: 1.0,
+            tenant_skew: 9.0,
+            health: true,
+            health_interval: 60.0,
+            sample_one_in: 2,
+            nodes: Some(28),
+            replan_after: Some(0.0),
+            incidents: true,
+            incident_top: 1,
+        };
+        let loaded = run_serve("q2,q10x2", 1, 11, coarse(), ArrivalSource::Stream, knobs).unwrap();
+        assert_eq!(render_concurrent(&loaded), render_concurrent(&plain));
+        assert_eq!(
+            crate::timeline::render_timeline(&loaded),
+            crate::timeline::render_timeline(&plain)
+        );
+        assert_eq!(loaded.trace_json, plain.trace_json);
+        assert!(loaded.health.is_none() && loaded.sampling.is_none());
+        assert!(loaded.incidents.is_none() && loaded.replan.is_none());
+    }
+
     /// Satellite: concurrent workload reports (and the single stream
     /// trace) are byte-identical across identical seeds.
     #[test]
