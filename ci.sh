@@ -65,6 +65,10 @@
 #      prints anything), and keep BOTH the `alerts:` line (step 10) and
 #      the `slo attainment:` line (step 9) byte-identical — the
 #      recorder is observe-only by construction.
+#  13. published-figure check: `repro all` regenerates every figure and
+#      table under an 8 GB address-space cap, and its stdout must equal
+#      the `repro all` prefix of repro_output.txt (lines 1-226, up to the
+#      `A/B:` header) byte for byte.
 #
 # The build is hermetic: every dependency is a path crate inside this
 # repository, so everything below runs with --offline and no registry.
@@ -368,5 +372,18 @@ for f in "$incident_dir"/incident-*; do
 done
 rm -rf "$incident_dir"
 echo "ok: $got matches reference exactly; $opened validated report pairs written"
+
+echo "== published-figure check (repro all vs repro_output.txt, 8 GB cap) =="
+all_out=$(mktemp) all_ref=$(mktemp)
+trap 'rm -f "$fresh" "$ref_t1" "$new_t1" "$all_out" "$all_ref"' EXIT
+(ulimit -v 8000000 && exec "$repro_bin" all) > "$all_out" ||
+    { echo "FAIL: repro all did not complete under the 8 GB cap"; exit 1; }
+head -n 226 repro_output.txt > "$all_ref"
+if ! cmp -s "$all_ref" "$all_out"; then
+    echo "FAIL: repro all drifted from repro_output.txt lines 1-226:"
+    diff "$all_ref" "$all_out" | head -20
+    exit 1
+fi
+echo "ok: repro all matches repro_output.txt lines 1-226 byte for byte"
 
 echo "CI OK"

@@ -21,7 +21,7 @@ use dyno_exec::{DagRun, DagStep, Executor, JobDag, JobOutput};
 use dyno_obs::{SpanId, SpanKind};
 use dyno_optimizer::CostModel;
 use dyno_query::jaql::{jaql_heuristic_plan, leaf_sizes_from};
-use dyno_query::{JoinBlock, LeafSource, Predicate};
+use dyno_query::{JoinBlock, Predicate};
 use dyno_stats::{AttrSpec, TableStats, TableStatsBuilder};
 
 use crate::dyno::DynoError;
@@ -79,7 +79,6 @@ fn jaql_producible_orders(block: &JoinBlock) -> Vec<Vec<usize>> {
 /// selection (base-file size vs memory) and broadcast chaining.
 fn true_cost_of_order(
     order: &[usize],
-    _block: &JoinBlock,
     oracle: &mut Oracle<'_>,
     file_sizes: &[u64],
     model: &CostModel,
@@ -133,18 +132,20 @@ pub fn best_jaql_alias_order(
     let mut oracle = Oracle::new(block, &exec.dfs, &exec.udfs);
     let orders = jaql_producible_orders(block);
     assert!(!orders.is_empty(), "at least the FROM order exists");
-    let best = orders
+    let costs: Vec<f64> = orders
         .iter()
-        .min_by(|a, b| {
-            true_cost_of_order(a, block, &mut oracle, &sizes, model)
-                .total_cmp(&true_cost_of_order(b, block, &mut oracle, &sizes, model))
-        })
+        .map(|order| true_cost_of_order(order, &mut oracle, &sizes, model))
+        .collect();
+    // The first minimum wins ties.
+    let (best, &best_cost) = costs
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(b.1))
         .expect("non-empty");
     cluster
         .metrics()
         .incr("baseline.orders_considered", orders.len() as u64);
     if cluster.tracer().is_enabled() {
-        let best_cost = true_cost_of_order(best, block, &mut oracle, &sizes, model);
         let tracer = cluster.tracer().clone();
         tracer.event(
             cluster.trace_scope(),
@@ -156,7 +157,8 @@ pub fn best_jaql_alias_order(
             ],
         );
     }
-    best.iter()
+    orders[best]
+        .iter()
         .map(|&l| {
             block.leaves[l]
                 .aliases
@@ -294,11 +296,6 @@ pub fn relopt_leaf_stats(exec: &Executor, block: &JoinBlock) -> Result<Vec<Table
         out.push(builder.finish(Some(est_rows)));
     }
     Ok(out)
-}
-
-/// The materialized source of a leaf, if any (helper for tests).
-pub fn leaf_is_materialized(block: &JoinBlock, leaf: usize) -> bool {
-    matches!(block.leaves[leaf].source, LeafSource::Materialized { .. })
 }
 
 #[cfg(test)]

@@ -85,7 +85,8 @@ fn get_varint(buf: &mut &[u8]) -> Result<u64, DecodeError> {
     }
 }
 
-fn varint_len(mut v: u64) -> usize {
+/// The number of bytes the varint encoding of `v` takes.
+pub fn varint_len(mut v: u64) -> usize {
     let mut n = 1;
     while v >= 0x80 {
         v >>= 7;

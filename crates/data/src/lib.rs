@@ -22,6 +22,6 @@ pub mod encode;
 pub mod path;
 pub mod value;
 
-pub use encode::{decode_value, encode_value, encoded_len, DecodeError};
+pub use encode::{decode_value, encode_value, encoded_len, varint_len, DecodeError};
 pub use path::{ParsePathError, Path, Step};
 pub use value::{Record, Value};

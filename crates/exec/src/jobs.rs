@@ -218,8 +218,9 @@ fn hash_join(
     (out, candidates, post_cpu)
 }
 
-/// Plain in-memory equi-join used by the true-cardinality oracle (no
-/// profiling, no statistics): semantically identical to the jobs' joins.
+/// Plain in-memory equi-join (no profiling, no statistics), semantically
+/// identical to the jobs' joins: the materializing reference the
+/// size-only true-cardinality oracle is tested against.
 pub fn oracle_join(
     left: &[Value],
     right: &[Value],
